@@ -3,7 +3,9 @@
 //!
 //! The paper reports that the complete SVD of its 1008 × 49 matrix takes
 //! "less than two seconds on a 1.0 GHz Intel-based laptop" — the
-//! `svd_1008x49` bench is the direct modern equivalent.
+//! `svd_1008x49` bench is the direct modern equivalent. `svd_1008x484`
+//! is the bootstrap fit of the ledger's m = 484 workloads (one week of
+//! bins on a 484-link synthetic backbone).
 
 use std::hint::black_box;
 
@@ -11,19 +13,20 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use netanom_linalg::decomposition::{Cholesky, Qr, Svd, SymmetricEigen};
 use netanom_linalg::Matrix;
 
-fn paper_sized_matrix() -> Matrix {
-    // Deterministic structured data at the Sprint shape.
-    Matrix::from_fn(1008, 49, |i, j| {
+/// Deterministic structured data: one week of bins over `links` links
+/// (49 is the Sprint shape).
+fn week_matrix(links: usize) -> Matrix {
+    Matrix::from_fn(1008, links, |i, j| {
         let phase = i as f64 * std::f64::consts::TAU / 144.0;
         let smooth = 1e7 * phase.sin() * ((j % 5) as f64 + 1.0);
-        let noise = ((i * 49 + j).wrapping_mul(2654435761) % 65536) as f64 * 100.0;
+        let noise = ((i * links + j).wrapping_mul(2654435761) % 65536) as f64 * 100.0;
         5e7 + smooth + noise
     })
 }
 
 fn bench_decompositions(c: &mut Criterion) {
-    let y = paper_sized_matrix();
-    let (centered, _) = y.mean_centered_columns();
+    let (centered, _) = week_matrix(49).mean_centered_columns();
+    let (centered_m484, _) = week_matrix(484).mean_centered_columns();
     let cov = centered.gram().scaled(1.0 / 1007.0);
 
     let mut group = c.benchmark_group("decompositions");
@@ -31,6 +34,9 @@ fn bench_decompositions(c: &mut Criterion) {
 
     group.bench_function("svd_1008x49", |b| {
         b.iter(|| Svd::new(black_box(&centered)).expect("converges"))
+    });
+    group.bench_function("svd_1008x484", |b| {
+        b.iter(|| Svd::new(black_box(&centered_m484)).expect("converges"))
     });
     group.bench_function("covariance_eigen_49x49", |b| {
         b.iter(|| SymmetricEigen::new(black_box(&cov)).expect("converges"))

@@ -43,8 +43,9 @@ pub struct Pca {
 impl Pca {
     /// Fit a PCA to the raw (uncentered) measurement matrix.
     ///
-    /// Requires at least two timesteps and `t ≥ m` (one week of 10-minute
-    /// bins against ≤ 49 links leaves a huge margin).
+    /// Requires at least two timesteps, `t ≥ m` (the workspace fits one
+    /// week of 10-minute bins, `t = 1008`, against up to a few hundred
+    /// links), and finite entries.
     pub fn fit(links: &Matrix, method: PcaMethod) -> Result<Self> {
         let (t, m) = links.shape();
         if t < 2 {
@@ -53,6 +54,9 @@ impl Pca {
         if t < m {
             return Err(CoreError::TooFewSamples { got: t, need: m });
         }
+        // Name a non-finite entry where the caller put it: centering
+        // would smear it over its whole column.
+        links.check_finite("pca")?;
         let (centered, mean) = links.mean_centered_columns();
         let denom = (t - 1) as f64;
 

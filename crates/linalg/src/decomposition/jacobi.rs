@@ -13,9 +13,10 @@ use crate::{vector, LinalgError, Matrix, Result};
 /// the ≈ +1 sweep per doubling puts `n = 2048` — the largest size the
 /// workspace reaches today, via the truncated solver's dense fallback
 /// on synthetic thousand-link topologies — at ≈ 12 sweeps. A budget
-/// of 64 is therefore ~5× headroom over every constructible input;
-/// exhausting it indicates NaN/Inf contamination (finite symmetric
-/// input always converges), not an undersized budget.
+/// of 64 is therefore ~5× headroom over every constructible input.
+/// Non-finite input is refused before the first sweep, and finite
+/// symmetric input always converges, so exhausting the budget signals
+/// overflow mid-sweep, not an undersized budget.
 const MAX_SWEEPS: usize = 64;
 
 /// Relative tolerance on the asymmetry check in [`SymmetricEigen::new`].
@@ -57,11 +58,12 @@ pub struct SymmetricEigen {
 impl SymmetricEigen {
     /// Decompose a symmetric matrix.
     ///
-    /// Returns [`LinalgError::NotSymmetric`] if the input's asymmetry
-    /// exceeds a small relative tolerance, [`LinalgError::Empty`] for a
-    /// `0 × 0` input, and [`LinalgError::NonConvergence`] if the sweep
-    /// budget is exhausted (which indicates NaN/Inf contamination — finite
-    /// symmetric input always converges).
+    /// Returns [`LinalgError::NonFinite`] naming the first NaN or
+    /// infinite entry, [`LinalgError::NotSymmetric`] if the input's
+    /// asymmetry exceeds a small relative tolerance,
+    /// [`LinalgError::Empty`] for a `0 × 0` input, and
+    /// [`LinalgError::NonConvergence`] if the sweep budget is exhausted
+    /// (finite symmetric input always converges).
     pub fn new(a: &Matrix) -> Result<Self> {
         if a.is_empty() {
             return Err(LinalgError::Empty {
@@ -75,6 +77,7 @@ impl SymmetricEigen {
                 rhs: (a.cols(), a.rows()),
             });
         }
+        a.check_finite("symmetric eigendecomposition")?;
         let scale = a.max_abs().max(1.0);
         if let Some(asym) = a.asymmetry() {
             if asym > SYMMETRY_RTOL * scale {
@@ -314,6 +317,24 @@ mod tests {
             SymmetricEigen::new(&Matrix::zeros(0, 0)),
             Err(LinalgError::Empty { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_non_finite_entries_by_position() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut a = Matrix::identity(4);
+            a[(1, 3)] = bad;
+            a[(3, 1)] = bad;
+            let err = SymmetricEigen::new(&a).unwrap_err();
+            assert!(
+                matches!(err, LinalgError::NonFinite { at: (1, 3), .. }),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains("symmetric eigendecomposition"));
+            // The refit entry point reports the same error.
+            let refit = SymmetricEigen::of_covariance(&a).unwrap_err();
+            assert_eq!(refit.to_string(), err.to_string());
+        }
     }
 
     #[test]

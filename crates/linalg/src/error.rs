@@ -27,6 +27,17 @@ pub enum LinalgError {
         /// Number of sweeps/iterations performed before giving up.
         iterations: usize,
     },
+    /// A NaN or infinite input entry, refused before an iterative solve:
+    /// it would otherwise spread through every rotation and exhaust the
+    /// sweep budget.
+    NonFinite {
+        /// Human-readable name of the operation that refused the input.
+        op: &'static str,
+        /// Row/column position of the first offending entry (row-major).
+        at: (usize, usize),
+        /// The offending value.
+        value: f64,
+    },
     /// A matrix expected to be symmetric positive definite was not.
     NotPositiveDefinite {
         /// Index of the pivot at which the factorization broke down.
@@ -72,6 +83,9 @@ impl fmt::Display for LinalgError {
                 algorithm,
                 iterations,
             } => write!(f, "{algorithm} did not converge after {iterations} sweeps"),
+            LinalgError::NonFinite { op, at, value } => {
+                write!(f, "{op}: non-finite entry {value} at ({}, {})", at.0, at.1)
+            }
             LinalgError::NotPositiveDefinite { pivot } => {
                 write!(f, "matrix is not positive definite (pivot {pivot})")
             }
@@ -113,6 +127,16 @@ mod tests {
         };
         assert!(e.to_string().contains("jacobi"));
         assert!(e.to_string().contains("64"));
+    }
+
+    #[test]
+    fn display_non_finite() {
+        let e = LinalgError::NonFinite {
+            op: "svd",
+            at: (12, 3),
+            value: f64::NAN,
+        };
+        assert_eq!(e.to_string(), "svd: non-finite entry NaN at (12, 3)");
     }
 
     #[test]

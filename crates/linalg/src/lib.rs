@@ -1,11 +1,12 @@
 //! Dense linear algebra and statistics substrate for the `netanom` workspace.
 //!
-//! The PCA subspace method of Lakhina et al. operates on small dense
-//! matrices: a week of 10-minute link measurements is a 1008 × 49 matrix at
-//! most, and every decomposition the method needs (symmetric
+//! The PCA subspace method of Lakhina et al. operates on dense matrices of
+//! modest size: a week of 10-minute link measurements is 1008 × 49 on the
+//! paper's networks and 1008 × 484 on the workspace's synthetic
+//! backbones, and every decomposition the method needs (symmetric
 //! eigendecomposition of the covariance, thin SVD of the data matrix, least
-//! squares for the Fourier baseline) is comfortably in the regime where
-//! Jacobi-style algorithms are both simple and numerically excellent.
+//! squares for the Fourier baseline) is in the regime where Jacobi-style
+//! algorithms are both simple and numerically excellent.
 //!
 //! This crate is dependency-free and provides:
 //!

@@ -625,6 +625,23 @@ impl Matrix {
         vector::norm(&self.data)
     }
 
+    /// Refuse a matrix holding a NaN or infinite entry:
+    /// [`LinalgError::NonFinite`] naming `op` and the first offender in
+    /// row-major order. The iterative solvers run this before their
+    /// first sweep, because a non-finite entry spreads through every
+    /// rotation and would otherwise surface only as non-convergence once
+    /// the whole sweep budget is spent.
+    pub fn check_finite(&self, op: &'static str) -> Result<()> {
+        match self.data.iter().position(|x| !x.is_finite()) {
+            None => Ok(()),
+            Some(k) => Err(LinalgError::NonFinite {
+                op,
+                at: (k / self.cols, k % self.cols),
+                value: self.data[k],
+            }),
+        }
+    }
+
     /// Maximum absolute entry.
     pub fn max_abs(&self) -> f64 {
         vector::norm_inf(&self.data)

@@ -9,6 +9,9 @@ use netanom_linalg::decomposition::{
 use netanom_linalg::{stats, vector, Matrix};
 use proptest::prelude::*;
 
+#[path = "support/svd_reference.rs"]
+mod svd_reference;
+
 /// Strategy: matrix with given shape and entries in [-10, 10].
 fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-10.0..10.0f64, rows * cols)
@@ -333,5 +336,25 @@ proptest! {
         prop_assert!((t1 - s1).abs() <= 1e-9 * s1.abs().max(1.0));
         prop_assert!((t2 - s2).abs() <= 1e-9 * s2.abs().max(1.0));
         prop_assert!((t3 - s3).abs() <= 1e-8 * s3.abs().max(1.0));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random tall or square inputs, with a repeated column half the
+    /// time (rank deficiency makes some pairs skip).
+    #[test]
+    fn svd_is_bitwise_the_reference(
+        m in (1usize..40, 0usize..40)
+            .prop_flat_map(|(n, extra)| matrix(n + extra, n)),
+        duplicate in 0u8..2,
+    ) {
+        let mut m = m;
+        if duplicate == 1 && m.cols() > 1 {
+            let first = m.col(0);
+            m.set_col(m.cols() - 1, &first);
+        }
+        svd_reference::assert_svd_bitwise(&m, &Svd::new(&m).unwrap(), "random");
     }
 }

@@ -196,3 +196,35 @@ fn cadence_less_statistics_strategies_downgrade_with_a_note() {
     assert!(lines[0].contains("incremental"), "{}", lines[0]);
     assert_eq!(lines[1], "ok open s phase=training queue=4096");
 }
+
+#[test]
+fn non_finite_training_entry_fails_the_fit_by_position() {
+    // A NaN among the training rows must be reported as what it is —
+    // with its (row, col) in the training window — not as a Jacobi sweep
+    // that burned its budget and "did not converge".
+    let mut service = Service::new();
+    let r = reply(&mut service, "open s dim=4 train-bins=12");
+    assert!(r.starts_with("ok open s "), "{r}");
+    let mut replies = Vec::new();
+    for t in 0..12 {
+        let row: Vec<String> = (0..4)
+            .map(|j| {
+                if (t, j) == (5, 2) {
+                    "NaN".to_string()
+                } else {
+                    format!("{}", ((t * 7 + j * 3) % 11) as f64 + j as f64)
+                }
+            })
+            .collect();
+        replies.extend(ask(&mut service, &format!("obs s {}", row.join(","))));
+    }
+    let err = replies
+        .iter()
+        .find(|r| r.starts_with("err "))
+        .unwrap_or_else(|| panic!("the fit must fail: {replies:?}"));
+    assert!(err.starts_with("err bad-config "), "{err}");
+    assert!(err.contains("pca: non-finite entry NaN at (5, 2)"), "{err}");
+    assert!(!err.contains("converge"), "{err}");
+    let r = reply(&mut service, "ping");
+    assert_eq!(r, "ok pong");
+}
