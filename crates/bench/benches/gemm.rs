@@ -6,24 +6,14 @@
 //! scale scenarios exercise: square `m × m` products for
 //! `matmul`/`matmul_nt`/`matmul_tn` (the truncated refit's `A·Q`,
 //! `A·Aᵀ`, and Rayleigh–Ritz `QᵀZ` steps) and a 288-bin training
-//! window for `gram` (the covariance build). The un-suffixed ids run
-//! whatever backend the dispatcher selects for the host (honouring
-//! `NETANOM_KERNEL`); the `_portable` / `_fma` / `_avx512` suffixed
-//! ids pin each supported tier explicitly through the `*_with` entry
-//! points, so `median(..._portable) / median(..._fma)` (or
-//! `..._avx512`) in one run is that tier's speedup on that shape, and
-//! `median(..._fma) / median(..._avx512)` is the zmm-over-ymm win.
-//! The `*_m512_ref` ids time the serial
+//! window for `gram` (the covariance build). The `*_m512_ref` ids time the serial
 //! reference kernels — the same row-axpy/dot loop nests the crate ran
 //! before the packed layer — so
 //! `median(matmul_m512_ref) / median(matmul_m512)` in the committed
 //! baseline is the packed-vs-old kernel ratio.
 //!
 //! Committed baseline: `scripts/bench-baseline-gemm.jsonl` (diffed by
-//! `scripts/bench-compare.sh`). The `_fma` / `_avx512` ids only
-//! appear on hosts with the matching SIMD extensions;
-//! `bench-compare.sh` treats one-sided ids as informational, so the
-//! same baseline works on any host class.
+//! `scripts/bench-compare.sh`).
 
 use std::hint::black_box;
 
@@ -62,18 +52,6 @@ fn bench_gemm(c: &mut Criterion) {
             group.bench_function(&format!("matmul_tn_m{m}"), |bch| {
                 bch.iter(|| black_box(&a).matmul_tn(black_box(&b)).unwrap())
             });
-            // Explicit per-tier legs: the portable/hardware-tier
-            // ratio on the same shape is the micro-kernel speedup,
-            // independent of what the dispatcher picked for the
-            // un-suffixed ids.
-            for tier in kernel::supported_backends() {
-                group.bench_function(&format!("matmul_m{m}_{}", tier.name()), |bch| {
-                    bch.iter(|| kernel::matmul_with(tier, black_box(&a), black_box(&b)).unwrap())
-                });
-                group.bench_function(&format!("matmul_tn_m{m}_{}", tier.name()), |bch| {
-                    bch.iter(|| kernel::matmul_tn_with(tier, black_box(&a), black_box(&b)).unwrap())
-                });
-            }
         }
         // Reference-kernel counterparts at the smallest size only (the
         // serial loops take minutes beyond it).

@@ -12,7 +12,8 @@
 //! netanom stream   --links data/links.csv --train-bins 1008 [--method wavelet]
 //!                  [--paths data/paths.csv] [--refit-every 144] [--refit incremental] [--chunk 144]
 //! netanom shard    --links data/links.csv --train-bins 1008 --shards 4 [--method subspace]
-//!                  [--paths data/paths.csv] [--refit-every 144] [--chunk 144]
+//!                  [--paths data/paths.csv] [--refit-every 144] [--refit truncated] [--refit-k 8]
+//!                  [--chunk 144]
 //! netanom serve    [--listen 127.0.0.1:9060] [--read-timeout 30] [--max-conns 1]
 //! netanom eval     --list | <experiment-id>... [--out DIR]
 //! netanom --list-methods
@@ -32,6 +33,12 @@
 //!   round-robin into `--shards K` shards, each ingesting its own column
 //!   slice, with per-shard method state merged into the global model at
 //!   every refit — bitwise the same detections as `stream`.
+//! * `stream`, `shard`, and `tracker` accept `--refit
+//!   full|incremental|truncated`: a full refit of the window, a Jacobi
+//!   eigensolve of the incrementally maintained covariance, or a
+//!   truncated top-k eigensolve of it whose eigenpair count
+//!   `--refit-k K` sets (only with `--refit truncated`; a `K` below the
+//!   model's normal dimension is raised to it).
 //! * `diagnose`, `stream`, and `shard` accept `--method NAME` to run
 //!   any registered detection backend — the subspace method (default)
 //!   or one of the per-link temporal comparators — through the same

@@ -13,18 +13,21 @@ fn usage() {
          netanom diagnose --links FILE --paths FILE [--method NAME] [--confidence C]\n           \
          [--train-bins N] [--out FILE]\n  \
          netanom stream   --links FILE|- --train-bins N [--method NAME] [--paths FILE]\n           \
-         [--confidence C] [--window N] [--refit-every K] [--refit full|incremental] [--chunk B]\n  \
+         [--confidence C] [--window N] [--refit-every K] [--chunk B]\n           \
+         [--refit full|incremental|truncated] [--refit-k K]\n  \
          netanom shard    --links FILE|- --train-bins N --shards K [--method NAME] [--paths FILE]\n           \
-         [--confidence C] [--window N] [--refit-every K] [--refit full|incremental] [--chunk B]\n  \
+         [--confidence C] [--window N] [--refit-every K] [--chunk B]\n           \
+         [--refit full|incremental|truncated] [--refit-k K]\n  \
          netanom tracker  --listen ADDR --links FILE|- --train-bins N --workers K [--paths FILE]\n           \
-         [--confidence C] [--window N] [--refit-every K] [--refit full|incremental]\n           \
-         [--chunk B] [--join-timeout S] [--read-timeout S]\n  \
+         [--confidence C] [--window N] [--refit-every K] [--chunk B]\n           \
+         [--refit full|incremental|truncated] [--refit-k K] [--join-timeout S] [--read-timeout S]\n  \
          netanom worker   --connect ADDR --links FILE|- --train-bins N --workers K --shard S\n           \
          [--checkpoint FILE] [--retries N] [--read-timeout S]\n  \
          netanom serve    [--listen ADDR] [--read-timeout S] [--max-conns N]\n  \
          netanom eval     --list | ID... [--out DIR]\n  \
          netanom --list-methods | --version\n\
          \n\
+         --refit-k K sets the truncated solver's eigenpair count (--refit truncated only).\n\
          shard/tracker/worker also accept --partition round-robin|per-pop|explicit\n           \
          [--dataset NAME] [--partition-file FILE]"
     );
@@ -58,13 +61,18 @@ fn main() -> ExitCode {
             usage();
             return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command {other:?}")),
+        other => {
+            eprintln!("error: unknown command {other:?}");
+            usage();
+            return ExitCode::FAILURE;
+        }
     };
+    // A verb's own error (bad flag, unreadable file, bad data) already
+    // says what is wrong; the usage text would bury it.
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            usage();
             ExitCode::FAILURE
         }
     }

@@ -57,7 +57,14 @@ fn unknown_method_exits_nonzero_and_lists_the_valid_set() {
 
 #[test]
 fn unknown_command_and_missing_args_exit_nonzero() {
-    assert_eq!(netanom(&["frobnicate"]).status.code(), Some(1));
+    let out = netanom(&["frobnicate"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("unknown command \"frobnicate\""),
+        "{stderr}"
+    );
+    assert!(stderr.contains("usage:"), "{stderr}");
     assert_eq!(netanom(&[]).status.code(), Some(1));
     let out = netanom(&["stream"]);
     assert_eq!(out.status.code(), Some(1));
@@ -72,6 +79,33 @@ fn help_exits_zero_and_mentions_method_selection() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("--list-methods"), "{stderr}");
     assert!(stderr.contains("--method"), "{stderr}");
+    assert!(
+        stderr.contains("--refit full|incremental|truncated"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("--refit-k K"), "{stderr}");
+}
+
+#[test]
+fn data_error_exits_one_without_a_usage_dump() {
+    let dir = std::env::temp_dir().join("netanom-exit-nan-cell");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let links = dir.join("links.csv");
+    std::fs::write(&links, "a,b\n1,2\n3,nan\n5,6\n").unwrap();
+    let out = netanom(&[
+        "stream",
+        "--links",
+        links.to_str().unwrap(),
+        "--train-bins",
+        "2",
+    ]);
+    assert_eq!(out.status.code(), Some(1), "exit: {:?}", out.status);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("error: "), "{stderr}");
+    assert!(stderr.contains("\"nan\""), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -163,6 +163,7 @@ impl Pca {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netanom_linalg::LinalgError;
 
     /// Deterministic pseudo-random data matrix with two strong directions.
     fn structured_data(t: usize, m: usize) -> Matrix {
@@ -172,6 +173,29 @@ mod tests {
             let noise = ((i * m + j).wrapping_mul(2654435761) % 1000) as f64 / 100.0;
             1000.0 + trend + noise
         })
+    }
+
+    #[test]
+    fn non_finite_training_entry_fails_the_fit_by_position() {
+        let mut y = structured_data(40, 6);
+        y[(5, 2)] = f64::NAN;
+        // Both routes refuse the raw entry before centering smears it
+        // over column 2, so the error names (5, 2) and not row 0.
+        for method in [PcaMethod::Svd, PcaMethod::Covariance] {
+            let e = Pca::fit(&y, method).unwrap_err();
+            match &e {
+                CoreError::Linalg(LinalgError::NonFinite { op, at, value }) => {
+                    assert_eq!((*op, *at), ("pca", (5, 2)), "{method:?}");
+                    assert!(value.is_nan(), "{method:?}");
+                }
+                other => panic!("{method:?}: expected NonFinite, got {other:?}"),
+            }
+            assert!(
+                e.to_string()
+                    .contains("pca: non-finite entry NaN at (5, 2)"),
+                "{method:?}: {e}"
+            );
+        }
     }
 
     #[test]

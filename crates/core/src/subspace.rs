@@ -1,6 +1,6 @@
 //! The fitted subspace model and the detection step.
 
-use netanom_linalg::{kernel, vector, Matrix};
+use netanom_linalg::{vector, Matrix};
 
 use crate::pca::{Pca, PcaMethod};
 use crate::qstat::{q_threshold, QStatistic};
@@ -422,11 +422,7 @@ impl SubspaceModel {
     /// column `i` is bitwise identical to the per-vector result.
     ///
     /// Used to compute all `θ̃ᵢ = C̃θᵢ` at once when building an
-    /// identifier or a multi-flow hypothesis. An identification kernel,
-    /// so — like the batched SPE and decompose paths — its products are
-    /// pinned to the portable kernel backend: per-vector equivalence is
-    /// plain mul-then-add arithmetic and must not depend on which
-    /// backend the process dispatches for model fitting.
+    /// identifier or a multi-flow hypothesis.
     pub fn residual_directions(&self, dirs: &Matrix) -> Result<Matrix> {
         if dirs.rows() != self.dim() {
             return Err(CoreError::DimensionMismatch {
@@ -436,10 +432,8 @@ impl SubspaceModel {
         }
         // coeffs = Pᵀ·dirs accumulates over the link axis in the same
         // order as the per-vector matvec_t; modeled = P·coeffs likewise.
-        let coeffs = kernel::matmul_tn_with(kernel::KernelBackend::Portable, &self.p, dirs)
-            .expect("dims checked");
-        let modeled = kernel::matmul_with(kernel::KernelBackend::Portable, &self.p, &coeffs)
-            .expect("dims checked");
+        let coeffs = self.p.matmul_tn(dirs).expect("dims checked");
+        let modeled = self.p.matmul(&coeffs).expect("dims checked");
         dirs.sub(&modeled)
             .map_err(|_| CoreError::DimensionMismatch {
                 expected: self.dim(),

@@ -5,11 +5,12 @@
 //! `B` lanes and performs `MR × NR` multiply-adds into a fixed-size
 //! accumulator array. The loops run over `[f64; MR]`/`[f64; NR]` array
 //! references so the autovectorizer unrolls them fully and emits wide
-//! multiply-add lanes across the `NR` dimension (FMA where the target
-//! enables it). Vectorization is across *independent output elements*,
-//! never across `k`, so the per-element operation order is exactly the
-//! ascending-`k` order of the naive triple loop — the bitwise contract
-//! `kernel` documents.
+//! multiply and add lanes across the `NR` dimension (never a fused
+//! FMA: Rust does not contract `acc += a * b` for `f64`).
+//! Vectorization is across *independent output elements*, never across
+//! `k`, so the per-element operation order is exactly the ascending-`k`
+//! order of the naive triple loop — the bitwise contract `kernel`
+//! documents.
 //!
 //! Tile shape: `NR = 8` puts two 4-lane (AVX) or four 2-lane (SSE2)
 //! vectors in flight per `A` lane. `MR = 4` when wide registers are
@@ -50,21 +51,20 @@ fn micro_tile(kc: usize, apanel: &[f64], bpanel: &[f64], acc: &mut [[f64; NR]; M
 }
 
 /// Copy the `mr_eff × nr_eff` valid corner of the `C` tile at
-/// `(tile_row, tile_col)` into a zero-initialized `M × N` stack
-/// scratch tile. Shared by every tier's edge-tile path (`M`/`N` are
-/// the tier's micro-tile dimensions): the vector loops then run over
-/// the scratch tile at full width and never read past `C`; padding
-/// lanes start at `0.0` and accumulate only discarded garbage.
+/// `(tile_row, tile_col)` into a zero-initialized `MR × NR` stack
+/// scratch tile, for edge tiles: the register loops then run over the
+/// scratch tile at full width and never read past `C`; padding lanes
+/// start at `0.0` and accumulate only discarded garbage.
 #[inline]
-pub(crate) fn load_edge_tile<const M: usize, const N: usize>(
+fn load_edge_tile(
     c: &[f64],
     ldc: usize,
     tile_row: usize,
     tile_col: usize,
     mr_eff: usize,
     nr_eff: usize,
-) -> [[f64; N]; M] {
-    let mut tile = [[0.0_f64; N]; M];
+) -> [[f64; NR]; MR] {
+    let mut tile = [[0.0_f64; NR]; MR];
     for (i, trow) in tile.iter_mut().enumerate().take(mr_eff) {
         let off = (tile_row + i) * ldc + tile_col;
         trow[..nr_eff].copy_from_slice(&c[off..off + nr_eff]);
@@ -72,13 +72,13 @@ pub(crate) fn load_edge_tile<const M: usize, const N: usize>(
     tile
 }
 
-/// Write the `mr_eff × nr_eff` valid corner of an `M × N` scratch tile
-/// back to `C` — the counterpart of [`load_edge_tile`]. Padding lanes
-/// are never written, so neighbouring `C` elements (other tiles' data,
-/// or rows past the matrix edge) are untouched.
+/// Write the `mr_eff × nr_eff` valid corner of a scratch tile back to
+/// `C` — the counterpart of [`load_edge_tile`]. Padding lanes are never
+/// written, so neighbouring `C` elements (other tiles' data, or rows
+/// past the matrix edge) are untouched.
 #[inline]
-pub(crate) fn store_edge_tile<const M: usize, const N: usize>(
-    tile: &[[f64; N]; M],
+fn store_edge_tile(
+    tile: &[[f64; NR]; MR],
     c: &mut [f64],
     ldc: usize,
     tile_row: usize,
@@ -125,7 +125,7 @@ pub(crate) fn kernel_update(
             c[off..off + NR].copy_from_slice(arow);
         }
     } else {
-        let mut acc = load_edge_tile::<MR, NR>(c, ldc, tile_row, tile_col, mr_eff, nr_eff);
+        let mut acc = load_edge_tile(c, ldc, tile_row, tile_col, mr_eff, nr_eff);
         micro_tile(kc, apanel, bpanel, &mut acc);
         store_edge_tile(&acc, c, ldc, tile_row, tile_col, mr_eff, nr_eff);
     }
@@ -183,23 +183,24 @@ mod tests {
 
     #[test]
     fn edge_tile_helpers_roundtrip_only_the_valid_corner() {
-        let ldc = 7;
-        let c: Vec<f64> = (0..4 * ldc).map(|i| i as f64).collect();
-        let tile = load_edge_tile::<3, 4>(&c, ldc, 1, 2, 2, 3);
+        let ldc = NR + 3;
+        let (mr_eff, nr_eff) = (MR - 1, NR - 1);
+        let c: Vec<f64> = (0..(MR + 1) * ldc).map(|i| i as f64).collect();
+        let tile = load_edge_tile(&c, ldc, 1, 2, mr_eff, nr_eff);
         // Valid corner copied, padding zero-initialized.
-        for i in 0..2 {
-            for j in 0..3 {
+        for i in 0..mr_eff {
+            for j in 0..nr_eff {
                 assert_eq!(tile[i][j], c[(1 + i) * ldc + 2 + j]);
             }
-            assert_eq!(tile[i][3], 0.0);
+            assert_eq!(tile[i][nr_eff], 0.0);
         }
-        assert_eq!(tile[2], [0.0; 4]);
+        assert_eq!(tile[mr_eff], [0.0; NR]);
         // Store writes the corner back and nothing else.
         let mut out = vec![f64::NAN; c.len()];
-        store_edge_tile(&tile, &mut out, ldc, 1, 2, 2, 3);
+        store_edge_tile(&tile, &mut out, ldc, 1, 2, mr_eff, nr_eff);
         for (idx, v) in out.iter().enumerate() {
             let (i, j) = (idx / ldc, idx % ldc);
-            if (1..3).contains(&i) && (2..5).contains(&j) {
+            if (1..1 + mr_eff).contains(&i) && (2..2 + nr_eff).contains(&j) {
                 assert_eq!(*v, c[idx], "corner ({i},{j})");
             } else {
                 assert!(v.is_nan(), "lane ({i},{j}) was written");

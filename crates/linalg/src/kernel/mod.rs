@@ -16,48 +16,21 @@
 //!   (packed `B` stays in L2/L3), `KC`-deep slices of the shared
 //!   dimension (one packed `A` block stays in L2), and `MC`-tall row
 //!   blocks, following [`Tiles`].
-//! * **Register-blocked micro-kernel** (`micro`, `fma`, and `avx512`).
-//!   The innermost unit computes an `MR × NR` tile of `C` held entirely
-//!   in accumulator registers, reading one `MR`-slice of packed `A` and
-//!   one `NR`-slice of packed `B` per `k` step. Three tiers exist: the
-//!   portable tile (`micro`, loops over fixed-size arrays the
-//!   autovectorizer unrolls), the AVX2+FMA tile (`fma`, explicit
-//!   `std::arch` intrinsics with a wider 6×8 shape and a ×4-unrolled
-//!   `k` loop), and the AVX-512 tile (`avx512`, an 8×8 shape whose
-//!   accumulator rows are whole ZMM registers, same ×4 unroll).
+//! * **Register-blocked micro-kernel** (`micro`). The innermost unit
+//!   computes an `MR × NR` tile of `C` held entirely in accumulator
+//!   registers, reading one `MR`-slice of packed `A` and one
+//!   `NR`-slice of packed `B` per `k` step. The tile is plain loops
+//!   over fixed-size arrays that the autovectorizer unrolls into wide
+//!   lanes of the build's target (256-bit AVX2 under the workspace's
+//!   `x86-64-v3` setting).
 //!
-//! # Backend dispatch
+//! # Accumulation-order contract
 //!
-//! Which tier runs is a process-wide choice made once by the dispatch
-//! module:
-//! runtime CPU feature detection (`is_x86_feature_detected!`) picks
-//! the widest supported tier — [`KernelBackend::Avx512`] when
-//! `avx512f`+`avx512vl` are present, else [`KernelBackend::Fma`] when
-//! `avx2`+`fma` are — and the `NETANOM_KERNEL=portable|fma|avx512`
-//! environment variable overrides it.
-//! [`Matrix`]'s product methods route through [`active_backend`]; the
-//! explicit `*_with` entry points ([`matmul_with`],
-//! [`matmul_nt_with`], [`matmul_tn_with`], [`gram_with`]) run a chosen
-//! backend for tests, benches, and the pinned-portable SPE path.
-//!
-//! # Accumulation-order contract (three tiers, two roundings)
-//!
-//! Per output element, **every** tier accumulates its `k`-terms in
-//! strictly ascending order into a single accumulator; the tiers
-//! differ only in the rounding of each step:
-//!
-//! * [`KernelBackend::Portable`] rounds the multiply and the add
-//!   separately (`acc += a·b`), making it **bitwise identical to the
-//!   naive mul-then-add `i j k` triple loop** — the original kernel
-//!   contract, unchanged.
-//! * [`KernelBackend::Fma`] and [`KernelBackend::Avx512`] fuse each
-//!   step into one rounding (`acc = fma(a, b, acc)`), making both
-//!   **bitwise identical to the [`f64::mul_add`] ascending-`k` triple
-//!   loop** — and therefore to each other, lane width being invisible
-//!   to a per-lane fused chain — and `≤ 1e-12` relative against the
-//!   portable tier (one rounding per term).
-//!
-//! Three design choices guarantee the shared ascending-`k` order:
+//! Per output element, every product accumulates its `k`-terms in
+//! strictly ascending order into a single accumulator, rounding the
+//! multiply and the add separately (`acc += a·b`). Every route is
+//! therefore **bitwise identical to the naive mul-then-add `i j k`
+//! triple loop**. Three design choices guarantee that order:
 //!
 //! 1. the `KC` loop sits *outside* the row/column tile loops, and each
 //!    micro-kernel invocation loads the partial `C` tile, extends it,
@@ -71,38 +44,31 @@
 //!
 //! The reference kernels in this module ([`matmul_reference`],
 //! [`matmul_nt_reference`], [`matmul_tn_reference`],
-//! [`gram_reference`]) realize the portable tier's order with plain
-//! loop nests; `fma::gemm_reference_fma` is the fused counterpart
-//! serving both hardware tiers. Each packed tier is pinned against
-//! its own reference bitwise in the unit and property tests. Because the portable order also matches
-//! the pre-kernel row-axpy/dot implementations, every parity suite
-//! that pinned bitwise values across the old code remains valid under
-//! `NETANOM_KERNEL=portable` — with one deliberate exception: the old
-//! kernels skipped `a[i][k] == 0.0` terms, which made throughput
+//! [`gram_reference`]) realize that order with plain loop nests, and
+//! the packed path is pinned against them bitwise in the unit and
+//! property tests. Because the order also matches the per-vector
+//! `dot`/`axpy` routes, batched scoring and identification stay
+//! bitwise equal to their per-vector forms. The old pre-kernel loops
+//! skipped `a[i][k] == 0.0` terms, which made throughput
 //! data-dependent and silently dropped NaN/∞ propagation from the
-//! skipped `B` row. Neither tier ever skips; `0 × NaN` poisons the
-//! product on every path and every backend.
+//! skipped `B` row; no path here ever skips, so `0 × NaN` poisons the
+//! product everywhere.
 //!
 //! # Shape routing
 //!
 //! [`use_packed`] routes a product to the packed path only when the
 //! operand shapes amortize the packing traffic (roughly one tile of
 //! useful work); tiny, skinny, or degenerate shapes fall through to
-//! the active backend's reference kernel, which follows the same
-//! per-element order, so routing is purely a performance decision and
-//! never observable in results.
+//! the reference kernel, which follows the same per-element order, so
+//! routing is purely a performance decision and never observable in
+//! results.
 
-pub(crate) mod avx512;
-pub(crate) mod dispatch;
-pub(crate) mod fma;
 pub(crate) mod micro;
 pub(crate) mod pack;
 
-pub use dispatch::{
-    active_backend, backend_diagnostics, supported_backends, KernelBackend, ALL_BACKENDS,
-};
+use micro::{MR, NR};
 
-use crate::{parallel, LinalgError, Matrix, Result};
+use crate::{parallel, Matrix, Result};
 
 /// Cache-block sizes for one packed product, in elements (`f64`).
 ///
@@ -237,16 +203,13 @@ impl<'a> Operand<'a> {
 /// row block of the output (the unit of the row-parallel fan-out).
 ///
 /// `block` holds `mb` whole rows of width `ldc = n`; `first_row` is the
-/// block's global row offset, which only matters for `upper_from`:
-/// when `Some(_)`, micro-tiles lying strictly below the main diagonal
-/// of the *global* output are skipped (the symmetric `gram` path
-/// computes the upper triangle and mirrors afterwards; tiles straddling
-/// the diagonal are computed in full — their below-diagonal lanes are
-/// bitwise the mirrored values anyway, multiplication being
-/// commutative).
-#[allow(clippy::too_many_arguments)]
+/// block's global row offset, which only matters for `upper_only`:
+/// when set, micro-tiles lying strictly below the main diagonal of the
+/// *global* output are skipped (the symmetric `gram` path computes the
+/// upper triangle and mirrors afterwards; tiles straddling the diagonal
+/// are computed in full — their below-diagonal lanes are bitwise the
+/// mirrored values anyway, multiplication being commutative).
 pub(crate) fn gemm_block(
-    backend: KernelBackend,
     a: &Operand,
     b: &Operand,
     first_row: usize,
@@ -254,69 +217,6 @@ pub(crate) fn gemm_block(
     n: usize,
     kdim: usize,
     upper_only: bool,
-) {
-    match backend {
-        KernelBackend::Portable => gemm_block_tiled(
-            a,
-            b,
-            first_row,
-            block,
-            n,
-            kdim,
-            upper_only,
-            micro::MR,
-            micro::NR,
-            micro::kernel_update,
-        ),
-        KernelBackend::Fma => gemm_block_tiled(
-            a,
-            b,
-            first_row,
-            block,
-            n,
-            kdim,
-            upper_only,
-            fma::MR,
-            fma::NR,
-            fma::kernel_update,
-        ),
-        KernelBackend::Avx512 => gemm_block_tiled(
-            a,
-            b,
-            first_row,
-            block,
-            n,
-            kdim,
-            upper_only,
-            avx512::MR,
-            avx512::NR,
-            avx512::kernel_update,
-        ),
-    }
-}
-
-/// A backend's tile-update entry point:
-/// `(kc, apanel, bpanel, c, ldc, tile_row, tile_col, mr_eff, nr_eff)`.
-/// Accumulates one `mr_eff × nr_eff` corner of a micro-tile of `C`
-/// from the packed panels.
-type TileUpdateFn = fn(usize, &[f64], &[f64], &mut [f64], usize, usize, usize, usize, usize);
-
-/// The shared cache-blocked loop nest, parameterized by the backend's
-/// micro-tile shape (`mr × nr`) and tile-update function. `update`
-/// must consume panels packed with exactly the `mr`/`nr` it is paired
-/// with ([`gemm_block`] keeps the pairing).
-#[allow(clippy::too_many_arguments)]
-fn gemm_block_tiled(
-    a: &Operand,
-    b: &Operand,
-    first_row: usize,
-    block: &mut [f64],
-    n: usize,
-    kdim: usize,
-    upper_only: bool,
-    mr: usize,
-    nr: usize,
-    update: TileUpdateFn,
 ) {
     debug_assert_eq!(block.len() % n.max(1), 0);
     let Some(mb) = block.len().checked_div(n) else {
@@ -326,15 +226,15 @@ fn gemm_block_tiled(
         return;
     }
     let t = tiles_for(mb, kdim, n);
-    let mut apack = vec![0.0; t.mc.div_ceil(mr) * mr * t.kc];
-    let mut bpack = vec![0.0; t.nc.div_ceil(nr) * nr * t.kc];
+    let mut apack = vec![0.0; t.mc.div_ceil(MR) * MR * t.kc];
+    let mut bpack = vec![0.0; t.nc.div_ceil(NR) * NR * t.kc];
     let mut jc = 0;
     while jc < n {
         let ncb = t.nc.min(n - jc);
         let mut pc = 0;
         while pc < kdim {
             let kcb = t.kc.min(kdim - pc);
-            pack::pack_b(b, pc, kcb, jc, ncb, nr, &mut bpack);
+            pack::pack_b(b, pc, kcb, jc, ncb, &mut bpack);
             let mut ic = 0;
             while ic < mb {
                 let mcb = t.mc.min(mb - ic);
@@ -344,10 +244,9 @@ fn gemm_block_tiled(
                     ic += mcb;
                     continue;
                 }
-                pack::pack_a(a, first_row + ic, mcb, pc, kcb, mr, &mut apack);
+                pack::pack_a(a, first_row + ic, mcb, pc, kcb, &mut apack);
                 macro_kernel(
-                    &apack, &bpack, kcb, block, n, ic, mcb, jc, ncb, first_row, upper_only, mr, nr,
-                    update,
+                    &apack, &bpack, kcb, block, n, ic, mcb, jc, ncb, first_row, upper_only,
                 );
                 ic += mcb;
             }
@@ -357,7 +256,7 @@ fn gemm_block_tiled(
     }
 }
 
-/// Run the micro-kernel over every `mr × nr` tile of one packed
+/// Run the micro-kernel over every `MR × NR` tile of one packed
 /// `A`-block × packed `B`-block pair, updating `C` in place.
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel(
@@ -372,52 +271,25 @@ fn macro_kernel(
     ncb: usize,
     first_row: usize,
     upper_only: bool,
-    mr: usize,
-    nr: usize,
-    update: TileUpdateFn,
 ) {
-    let a_panels = mcb.div_ceil(mr);
-    let b_panels = ncb.div_ceil(nr);
+    let a_panels = mcb.div_ceil(MR);
+    let b_panels = ncb.div_ceil(NR);
     for jp in 0..b_panels {
-        let bpanel = &bpack[jp * kc * nr..(jp + 1) * kc * nr];
-        let nr_eff = nr.min(ncb - jp * nr);
+        let bpanel = &bpack[jp * kc * NR..(jp + 1) * kc * NR];
+        let nr_eff = NR.min(ncb - jp * NR);
         for ip in 0..a_panels {
-            let tile_row = ic + ip * mr;
-            let tile_col = jc + jp * nr;
+            let tile_row = ic + ip * MR;
+            let tile_col = jc + jp * NR;
             // Upper-triangle mode: skip tiles whose every column lies
             // strictly left of (below) the diagonal.
             if upper_only && tile_col + nr_eff <= first_row + tile_row {
                 continue;
             }
-            let apanel = &apack[ip * kc * mr..(ip + 1) * kc * mr];
-            let mr_eff = mr.min(mcb - ip * mr);
-            update(
+            let apanel = &apack[ip * kc * MR..(ip + 1) * kc * MR];
+            let mr_eff = MR.min(mcb - ip * MR);
+            micro::kernel_update(
                 kc, apanel, bpanel, c, ldc, tile_row, tile_col, mr_eff, nr_eff,
             );
-        }
-    }
-}
-
-/// Route a sub-crossover (or explicitly un-packed) product to the
-/// reference loop nest matching `backend`'s per-step rounding, so the
-/// [`use_packed`] routing decision stays unobservable per backend.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_reference_with(
-    backend: KernelBackend,
-    a: &Operand,
-    b: &Operand,
-    first_row: usize,
-    block: &mut [f64],
-    n: usize,
-    kdim: usize,
-    upper_only: bool,
-) {
-    match backend {
-        KernelBackend::Portable => gemm_reference(a, b, first_row, block, n, kdim, upper_only),
-        // Both hardware tiers share the fused ascending-k contract, so
-        // one fused reference loop serves them bitwise-identically.
-        KernelBackend::Fma | KernelBackend::Avx512 => {
-            fma::gemm_reference_fma(a, b, first_row, block, n, kdim, upper_only)
         }
     }
 }
@@ -518,7 +390,7 @@ pub fn gram_reference(a: &Matrix) -> Matrix {
 }
 
 /// Copy the upper triangle onto the lower one (`out[b][a] = out[a][b]`).
-pub(crate) fn mirror_upper(out: &mut Matrix) {
+fn mirror_upper(out: &mut Matrix) {
     for a in 0..out.rows() {
         for b in (a + 1)..out.cols() {
             out[(b, a)] = out[(a, b)];
@@ -526,15 +398,51 @@ pub(crate) fn mirror_upper(out: &mut Matrix) {
     }
 }
 
-/// The shared routed-and-parallel product driver behind the `*_with`
-/// entry points: pick packed vs reference by shape, fan the `m` output
-/// rows across workers, and run the chosen backend inside each block.
-/// Results are independent of both decisions — each output row is
-/// computed identically whichever worker owns it and whichever side of
-/// the packing crossover the shape lands on.
+/// `A·B` over operands of logical shapes `m × kdim` and `kdim × n`: the
+/// body of [`Matrix::matmul`], [`Matrix::matmul_nt`] and
+/// [`Matrix::matmul_tn`], which differ only in the operand orientations.
+pub(crate) fn product(a: &Operand, b: &Operand, m: usize, n: usize, kdim: usize) -> Matrix {
+    let mut out = Matrix::zeros(m, n);
+    if m > 0 && n > 0 {
+        run_product(a, b, &mut out, m, n, kdim, false, m * kdim * n, |_| 1.0);
+    }
+    out
+}
+
+/// `aᵀa`: the body of [`Matrix::gram`]. Only the upper triangle is
+/// computed (micro-tiles strictly below the global diagonal are skipped
+/// inside the kernel, and row blocks are weighted by their share of it),
+/// then mirrored — the per-entry operation sequence matches a serial
+/// `(i, a, b)` loop nest, so the result is thread-count independent.
+pub(crate) fn gram(a: &Matrix) -> Matrix {
+    let (n, kdim) = (a.cols(), a.rows());
+    let mut out = Matrix::zeros(n, n);
+    if n > 0 {
+        let (at, an) = (Operand::transposed(a), Operand::normal(a));
+        run_product(
+            &at,
+            &an,
+            &mut out,
+            n,
+            n,
+            kdim,
+            true,
+            kdim * n * n / 2,
+            |start| (n - start) as f64,
+        );
+        mirror_upper(&mut out);
+    }
+    out
+}
+
+/// The routed-and-parallel product driver behind [`Matrix`]'s product
+/// methods: pick packed vs reference by shape, fan the `m` output rows
+/// across workers, and run the chosen path inside each block. Results
+/// are independent of both decisions — each output row is computed
+/// identically whichever worker owns it and whichever side of the
+/// packing crossover the shape lands on.
 #[allow(clippy::too_many_arguments)]
 fn run_product(
-    backend: KernelBackend,
     a: &Operand,
     b: &Operand,
     out: &mut Matrix,
@@ -550,160 +458,11 @@ fn run_product(
     let boundaries = parallel::balanced_boundaries(m, workers, weight);
     parallel::for_row_blocks(out.data_mut(), n, &boundaries, |first_row, block| {
         if packed {
-            gemm_block(backend, a, b, first_row, block, n, kdim, upper_only);
+            gemm_block(a, b, first_row, block, n, kdim, upper_only);
         } else {
-            gemm_reference_with(backend, a, b, first_row, block, n, kdim, upper_only);
+            gemm_reference(a, b, first_row, block, n, kdim, upper_only);
         }
     });
-}
-
-/// `a · b` on an explicitly chosen backend — the entry point behind
-/// [`Matrix::matmul`] (which passes [`active_backend`]), used directly
-/// by tests and benches that must pin a tier regardless of environment.
-///
-/// # Panics
-///
-/// Panics if `backend` is not supported on this CPU (see
-/// [`KernelBackend::is_supported`]). Returns an error if
-/// `a.cols() != b.rows()`.
-pub fn matmul_with(backend: KernelBackend, a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    assert!(
-        backend.is_supported(),
-        "kernel backend '{}' is not supported on this CPU",
-        backend.name()
-    );
-    if a.cols() != b.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "matmul",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    if out.as_slice().is_empty() {
-        return Ok(out);
-    }
-    let (m, n, kdim) = (a.rows(), b.cols(), a.cols());
-    let (lhs_op, rhs_op) = (Operand::normal(a), Operand::normal(b));
-    run_product(
-        backend,
-        &lhs_op,
-        &rhs_op,
-        &mut out,
-        m,
-        n,
-        kdim,
-        false,
-        m * kdim * n,
-        |_| 1.0,
-    );
-    Ok(out)
-}
-
-/// `a · bᵀ` (`b` stored `n × k`) on an explicitly chosen backend; see
-/// [`matmul_with`] for the dispatch and panic rules. Returns an error
-/// if `a.cols() != b.cols()`.
-pub fn matmul_nt_with(backend: KernelBackend, a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    assert!(
-        backend.is_supported(),
-        "kernel backend '{}' is not supported on this CPU",
-        backend.name()
-    );
-    if a.cols() != b.cols() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "matmul_nt",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    if out.as_slice().is_empty() {
-        return Ok(out);
-    }
-    let (m, n, kdim) = (a.rows(), b.rows(), a.cols());
-    let (lhs_op, rhs_op) = (Operand::normal(a), Operand::transposed(b));
-    run_product(
-        backend,
-        &lhs_op,
-        &rhs_op,
-        &mut out,
-        m,
-        n,
-        kdim,
-        false,
-        m * kdim * n,
-        |_| 1.0,
-    );
-    Ok(out)
-}
-
-/// `aᵀ · b` (`a` stored `k × m`, `b` stored `k × n`) on an explicitly
-/// chosen backend; see [`matmul_with`] for the dispatch and panic
-/// rules. Returns an error if `a.rows() != b.rows()`.
-pub fn matmul_tn_with(backend: KernelBackend, a: &Matrix, b: &Matrix) -> Result<Matrix> {
-    assert!(
-        backend.is_supported(),
-        "kernel backend '{}' is not supported on this CPU",
-        backend.name()
-    );
-    if a.rows() != b.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "matmul_tn",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    if out.as_slice().is_empty() {
-        return Ok(out);
-    }
-    let (m, n, kdim) = (a.cols(), b.cols(), a.rows());
-    let (lhs_op, rhs_op) = (Operand::transposed(a), Operand::normal(b));
-    run_product(
-        backend,
-        &lhs_op,
-        &rhs_op,
-        &mut out,
-        m,
-        n,
-        kdim,
-        false,
-        m * kdim * n,
-        |_| 1.0,
-    );
-    Ok(out)
-}
-
-/// Gram product `aᵀ · a` on an explicitly chosen backend: upper
-/// triangle computed (row blocks weighted by their share of it),
-/// mirrored to the lower triangle afterwards. See [`matmul_with`] for
-/// the dispatch and panic rules.
-pub fn gram_with(backend: KernelBackend, a: &Matrix) -> Matrix {
-    assert!(
-        backend.is_supported(),
-        "kernel backend '{}' is not supported on this CPU",
-        backend.name()
-    );
-    let mut out = Matrix::zeros(a.cols(), a.cols());
-    if a.cols() == 0 {
-        return out;
-    }
-    let (n, kdim) = (a.cols(), a.rows());
-    let (lhs_op, rhs_op) = (Operand::transposed(a), Operand::normal(a));
-    run_product(
-        backend,
-        &lhs_op,
-        &rhs_op,
-        &mut out,
-        n,
-        n,
-        kdim,
-        true,
-        kdim * n * n / 2,
-        |start| (n - start) as f64,
-    );
-    mirror_upper(&mut out);
-    out
 }
 
 /// Scalar reference GEMM over a row block: per output element, terms

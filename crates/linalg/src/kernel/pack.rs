@@ -1,13 +1,12 @@
 //! Panel packing: copy one cache block of an operand into the
 //! contiguous, zero-padded layout the micro-kernel consumes.
 //!
-//! Packed `A` blocks are stored panel-major: `⌈mc/mr⌉` panels, each a
-//! `kc × mr` slab laid out k-major (`buf[panel][k*mr + i]` holds
-//! `A[row0 + panel*mr + i][k0 + k]`), where `mr`/`nr` are the
-//! micro-tile dimensions of the backend being packed for (the three
-//! tiers use different tile heights). Packed `B` blocks mirror
-//! that with `nr`-wide panels (`buf[panel][k*nr + j]` holds
-//! `B[k0 + k][col0 + panel*nr + j]`). Rows/columns past the operand's
+//! Packed `A` blocks are stored panel-major: `⌈mc/MR⌉` panels, each a
+//! `kc × MR` slab laid out k-major (`buf[panel][k*MR + i]` holds
+//! `A[row0 + panel*MR + i][k0 + k]`), where `MR`/`NR` are the
+//! micro-tile dimensions (`micro::MR`/`micro::NR`). Packed `B` blocks
+//! mirror that with `NR`-wide panels (`buf[panel][k*NR + j]` holds
+//! `B[k0 + k][col0 + panel*NR + j]`). Rows/columns past the operand's
 //! edge are padded with `0.0`, which contributes only to output lanes
 //! the macro kernel discards — real elements see exactly their own
 //! `a·b` terms.
@@ -31,6 +30,7 @@
 //! every numeric contract above). Below the threshold (and on 1-thread
 //! hosts) the loop nests run serially on the caller, unchanged.
 
+use super::micro::{MR, NR};
 use super::Operand;
 use crate::parallel;
 
@@ -80,23 +80,14 @@ fn for_panel_ranges(
 }
 
 /// Pack `mc` logical rows of `a` starting at `row0`, depth `k0..k0+kc`,
-/// into `mr`-row panels (`mr` is the micro-tile height of the active
-/// backend). `buf` must hold at least `⌈mc/mr⌉·mr·kc` elements; only
-/// that prefix is written. Large blocks fan the panel range across
-/// rayon workers (see the module docs); the packed bytes are bitwise
-/// identical either way.
-pub(crate) fn pack_a(
-    a: &Operand,
-    row0: usize,
-    mc: usize,
-    k0: usize,
-    kc: usize,
-    mr: usize,
-    buf: &mut [f64],
-) {
-    let panels = mc.div_ceil(mr);
-    for_panel_ranges(buf, kc * mr, panels, |p0, p1, chunk| {
-        pack_a_range(a, row0, mc, k0, kc, mr, p0, p1, chunk);
+/// into `MR`-row panels. `buf` must hold at least `⌈mc/MR⌉·MR·kc`
+/// elements; only that prefix is written. Large blocks fan the panel
+/// range across rayon workers (see the module docs); the packed bytes
+/// are bitwise identical either way.
+pub(crate) fn pack_a(a: &Operand, row0: usize, mc: usize, k0: usize, kc: usize, buf: &mut [f64]) {
+    let panels = mc.div_ceil(MR);
+    for_panel_ranges(buf, kc * MR, panels, |p0, p1, chunk| {
+        pack_a_range(a, row0, mc, k0, kc, p0, p1, chunk);
     });
 }
 
@@ -110,7 +101,6 @@ fn pack_a_range(
     mc: usize,
     k0: usize,
     kc: usize,
-    mr: usize,
     p0: usize,
     p1: usize,
     chunk: &mut [f64],
@@ -120,34 +110,34 @@ fn pack_a_range(
         // scattering into its panel's k-major slots.
         Operand::N(m) => {
             for p in p0..p1 {
-                let panel = &mut chunk[(p - p0) * kc * mr..(p - p0 + 1) * kc * mr];
-                for i in 0..mr {
-                    let r = p * mr + i;
+                let panel = &mut chunk[(p - p0) * kc * MR..(p - p0 + 1) * kc * MR];
+                for i in 0..MR {
+                    let r = p * MR + i;
                     if r < mc {
                         let src = &m.row(row0 + r)[k0..k0 + kc];
                         for (k, &v) in src.iter().enumerate() {
-                            panel[k * mr + i] = v;
+                            panel[k * MR + i] = v;
                         }
                     } else {
                         for k in 0..kc {
-                            panel[k * mr + i] = 0.0;
+                            panel[k * MR + i] = 0.0;
                         }
                     }
                 }
             }
         }
         // `a` is the transpose of `m`: logical row `r` at depth `k` is
-        // `m[k][r]`, so each source row yields one contiguous mr-slice
+        // `m[k][r]`, so each source row yields one contiguous MR-slice
         // per panel — the natural layout for `Aᵀ` packing (gram,
         // matmul_tn).
         Operand::T(m) => {
             for (k, srow) in (k0..k0 + kc).enumerate() {
                 let src = m.row(srow);
                 for p in p0..p1 {
-                    let base = (p - p0) * kc * mr;
-                    let dst = &mut chunk[base + k * mr..base + (k + 1) * mr];
-                    let c0 = row0 + p * mr;
-                    let take = mr.min(mc - p * mr);
+                    let base = (p - p0) * kc * MR;
+                    let dst = &mut chunk[base + k * MR..base + (k + 1) * MR];
+                    let c0 = row0 + p * MR;
+                    let take = MR.min(mc - p * MR);
                     dst[..take].copy_from_slice(&src[c0..c0 + take]);
                     dst[take..].fill(0.0);
                 }
@@ -157,23 +147,14 @@ fn pack_a_range(
 }
 
 /// Pack `nc` logical columns of `b` starting at `col0`, depth
-/// `k0..k0+kc`, into `nr`-column panels (`nr` is the micro-tile width
-/// of the active backend). `buf` must hold at least `⌈nc/nr⌉·nr·kc`
-/// elements; only that prefix is written. Large blocks fan the panel
-/// range across rayon workers (see the module docs); the packed bytes
-/// are bitwise identical either way.
-pub(crate) fn pack_b(
-    b: &Operand,
-    k0: usize,
-    kc: usize,
-    col0: usize,
-    nc: usize,
-    nr: usize,
-    buf: &mut [f64],
-) {
-    let panels = nc.div_ceil(nr);
-    for_panel_ranges(buf, kc * nr, panels, |p0, p1, chunk| {
-        pack_b_range(b, k0, kc, col0, nc, nr, p0, p1, chunk);
+/// `k0..k0+kc`, into `NR`-column panels. `buf` must hold at least
+/// `⌈nc/NR⌉·NR·kc` elements; only that prefix is written. Large blocks
+/// fan the panel range across rayon workers (see the module docs); the
+/// packed bytes are bitwise identical either way.
+pub(crate) fn pack_b(b: &Operand, k0: usize, kc: usize, col0: usize, nc: usize, buf: &mut [f64]) {
+    let panels = nc.div_ceil(NR);
+    for_panel_ranges(buf, kc * NR, panels, |p0, p1, chunk| {
+        pack_b_range(b, k0, kc, col0, nc, p0, p1, chunk);
     });
 }
 
@@ -185,22 +166,21 @@ fn pack_b_range(
     kc: usize,
     col0: usize,
     nc: usize,
-    nr: usize,
     p0: usize,
     p1: usize,
     chunk: &mut [f64],
 ) {
     match b {
-        // Row-major `b`: each source row k yields contiguous nr-slices
+        // Row-major `b`: each source row k yields contiguous NR-slices
         // for every panel.
         Operand::N(m) => {
             for (k, srow) in (k0..k0 + kc).enumerate() {
                 let src = m.row(srow);
                 for p in p0..p1 {
-                    let base = (p - p0) * kc * nr;
-                    let dst = &mut chunk[base + k * nr..base + (k + 1) * nr];
-                    let c0 = col0 + p * nr;
-                    let take = nr.min(nc - p * nr);
+                    let base = (p - p0) * kc * NR;
+                    let dst = &mut chunk[base + k * NR..base + (k + 1) * NR];
+                    let c0 = col0 + p * NR;
+                    let take = NR.min(nc - p * NR);
                     dst[..take].copy_from_slice(&src[c0..c0 + take]);
                     dst[take..].fill(0.0);
                 }
@@ -210,17 +190,17 @@ fn pack_b_range(
         // is `m`'s row `j`, walked contiguously along k.
         Operand::T(m) => {
             for p in p0..p1 {
-                let panel = &mut chunk[(p - p0) * kc * nr..(p - p0 + 1) * kc * nr];
-                for j in 0..nr {
-                    let c = p * nr + j;
+                let panel = &mut chunk[(p - p0) * kc * NR..(p - p0 + 1) * kc * NR];
+                for j in 0..NR {
+                    let c = p * NR + j;
                     if c < nc {
                         let src = &m.row(col0 + c)[k0..k0 + kc];
                         for (k, &v) in src.iter().enumerate() {
-                            panel[k * nr + j] = v;
+                            panel[k * NR + j] = v;
                         }
                     } else {
                         for k in 0..kc {
-                            panel[k * nr + j] = 0.0;
+                            panel[k * NR + j] = 0.0;
                         }
                     }
                 }
@@ -232,7 +212,6 @@ fn pack_b_range(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::micro::{MR, NR};
     use crate::Matrix;
 
     fn numbered(rows: usize, cols: usize) -> Matrix {
@@ -245,7 +224,7 @@ mod tests {
         let kc = 3;
         let mc = MR + 2; // one full panel + one padded panel
         let mut buf = vec![f64::NAN; mc.div_ceil(MR) * MR * kc];
-        pack_a(&Operand::normal(&m), 0, mc, 1, kc, MR, &mut buf);
+        pack_a(&Operand::normal(&m), 0, mc, 1, kc, &mut buf);
         // Panel 0, k-slice 0 holds column 1 of rows 0..MR.
         for i in 0..MR {
             assert_eq!(buf[i], m[(i, 1)]);
@@ -266,8 +245,8 @@ mod tests {
         let (mc, kc) = (MR * 2 + 1, 6);
         let mut from_t = vec![f64::NAN; mc.div_ceil(MR) * MR * kc];
         let mut from_n = vec![f64::NAN; mc.div_ceil(MR) * MR * kc];
-        pack_a(&Operand::transposed(&m), 0, mc, 1, kc, MR, &mut from_t);
-        pack_a(&Operand::normal(&t), 0, mc, 1, kc, MR, &mut from_n);
+        pack_a(&Operand::transposed(&m), 0, mc, 1, kc, &mut from_t);
+        pack_a(&Operand::normal(&t), 0, mc, 1, kc, &mut from_n);
         assert_eq!(from_t, from_n);
     }
 
@@ -278,8 +257,8 @@ mod tests {
         let (nc, kc) = (NR + 3, 7);
         let mut from_t = vec![f64::NAN; nc.div_ceil(NR) * NR * kc];
         let mut from_n = vec![f64::NAN; nc.div_ceil(NR) * NR * kc];
-        pack_b(&Operand::transposed(&m), 2, kc, 0, nc, NR, &mut from_t);
-        pack_b(&Operand::normal(&t), 2, kc, 0, nc, NR, &mut from_n);
+        pack_b(&Operand::transposed(&m), 2, kc, 0, nc, &mut from_t);
+        pack_b(&Operand::normal(&t), 2, kc, 0, nc, &mut from_n);
         assert_eq!(from_t, from_n);
     }
 
@@ -288,7 +267,7 @@ mod tests {
         let m = numbered(4, NR + 2);
         let (nc, kc) = (NR + 2, 4);
         let mut buf = vec![f64::NAN; nc.div_ceil(NR) * NR * kc];
-        pack_b(&Operand::normal(&m), 0, kc, 0, nc, NR, &mut buf);
+        pack_b(&Operand::normal(&m), 0, kc, 0, nc, &mut buf);
         // First panel k-slice 0 is row 0's first NR entries.
         assert_eq!(&buf[..NR], &m.row(0)[..NR]);
         // Second panel: 2 real lanes then zeros, for every k.
@@ -310,47 +289,34 @@ mod tests {
     /// regimes are pinned whatever this host's core count.
     #[test]
     fn parallel_pack_is_bitwise_the_serial_pack() {
-        let nr = 8usize;
         let kc = 192usize;
         let nc = 1000usize; // 125 panels ≥ 192k elements: past the crossover
-        let panels = nc.div_ceil(nr);
+        let panels = nc.div_ceil(NR);
         let m = Matrix::from_fn(kc + 3, nc + 5, |i, j| {
             let h = (i * (nc + 5) + j).wrapping_mul(2654435761) % 8192;
             h as f64 / 4096.0 - 1.0
         });
-        let mut fanned = vec![f64::NAN; panels * nr * kc];
-        pack_b(&Operand::normal(&m), 2, kc, 3, nc, nr, &mut fanned);
+        let mut fanned = vec![f64::NAN; panels * NR * kc];
+        pack_b(&Operand::normal(&m), 2, kc, 3, nc, &mut fanned);
         assert!(pack_workers(fanned.len(), panels) >= 1);
         // Serial reference: the same loop nest over the full range.
-        let mut serial = vec![f64::NAN; panels * nr * kc];
-        pack_b_range(
-            &Operand::normal(&m),
-            2,
-            kc,
-            3,
-            nc,
-            nr,
-            0,
-            panels,
-            &mut serial,
-        );
+        let mut serial = vec![f64::NAN; panels * NR * kc];
+        pack_b_range(&Operand::normal(&m), 2, kc, 3, nc, 0, panels, &mut serial);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&fanned), bits(&serial));
 
         // Same for an A block (transposed orientation, ragged edge).
-        let mr = 8usize;
         let mc = 999usize;
-        let apanels = mc.div_ceil(mr);
-        let mut a_fanned = vec![f64::NAN; apanels * mr * kc];
-        pack_a(&Operand::transposed(&m), 1, mc, 0, kc, mr, &mut a_fanned);
-        let mut a_serial = vec![f64::NAN; apanels * mr * kc];
+        let apanels = mc.div_ceil(MR);
+        let mut a_fanned = vec![f64::NAN; apanels * MR * kc];
+        pack_a(&Operand::transposed(&m), 1, mc, 0, kc, &mut a_fanned);
+        let mut a_serial = vec![f64::NAN; apanels * MR * kc];
         pack_a_range(
             &Operand::transposed(&m),
             1,
             mc,
             0,
             kc,
-            mr,
             0,
             apanels,
             &mut a_serial,

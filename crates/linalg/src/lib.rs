@@ -56,10 +56,7 @@
 // Indexed loops in numerical kernels mirror the published algorithms;
 // iterator chains would obscure the math without changing the codegen.
 #![allow(clippy::needless_range_loop)]
-// Unsafe is denied everywhere except the single AVX2+FMA micro-kernel
-// module (`kernel::fma`), which scopes an `allow` around the
-// `std::arch` intrinsics and documents the safety argument in place.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod decomposition;
 mod error;

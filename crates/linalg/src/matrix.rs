@@ -228,18 +228,25 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Routed through the packed [`crate::kernel`] layer on the
-    /// process-wide [`kernel::active_backend`] (runtime-detected
-    /// AVX2+FMA tier or the portable autovectorized tier, overridable
-    /// via `NETANOM_KERNEL`); row-parallel on top, so results are
-    /// independent of thread count and shape routing alike — within
-    /// one process every product follows one backend's per-element
-    /// contract. No term is ever skipped: `0 × NaN` columns poison the
-    /// product exactly as IEEE arithmetic dictates, on every backend.
+    /// Routed through the packed [`crate::kernel`] layer and row-parallel
+    /// on top. Every entry accumulates its terms over ascending `k` with
+    /// a separate multiply and add, so the result is bitwise the naive
+    /// triple loop's, independent of thread count and shape routing. No
+    /// term is ever skipped: `0 × NaN` columns poison the product
+    /// exactly as IEEE arithmetic dictates.
     ///
     /// Returns an error if `self.cols != rhs.rows`.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        kernel::matmul_with(kernel::active_backend(), self, rhs)
+        if self.cols != rhs.rows {
+            return Err(LinalgError::DimensionMismatch {
+                op: "matmul",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let (m, n, kdim) = (self.rows, rhs.cols, self.cols);
+        let (a, b) = (kernel::Operand::normal(self), kernel::Operand::normal(rhs));
+        Ok(kernel::product(&a, &b, m, n, kdim))
     }
 
     /// Matrix product with a transposed right-hand side: `self * rhsᵀ`
@@ -248,14 +255,25 @@ impl Matrix {
     /// No transposed copy is materialized: the kernel layer's packing
     /// (or, below the packing crossover, a contiguous per-element dot)
     /// absorbs the orientation. Entry `(i, j)` accumulates
-    /// `self[i][k] · rhs[j][k]` over ascending `k` — on the portable
-    /// backend exactly like [`vector::dot`] of the two rows, on the
-    /// FMA backend with one fused rounding per term. Dispatched and
-    /// row-parallel like [`Matrix::matmul`].
+    /// `self[i][k] · rhs[j][k]` over ascending `k`, exactly like
+    /// [`vector::dot`] of the two rows. Row-parallel like
+    /// [`Matrix::matmul`].
     ///
     /// Returns an error if `self.cols != rhs.cols`.
     pub fn matmul_nt(&self, rhs: &Matrix) -> Result<Matrix> {
-        kernel::matmul_nt_with(kernel::active_backend(), self, rhs)
+        if self.cols != rhs.cols {
+            return Err(LinalgError::DimensionMismatch {
+                op: "matmul_nt",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let (m, n, kdim) = (self.rows, rhs.rows, self.cols);
+        let (a, b) = (
+            kernel::Operand::normal(self),
+            kernel::Operand::transposed(rhs),
+        );
+        Ok(kernel::product(&a, &b, m, n, kdim))
     }
 
     /// Matrix product with a transposed left-hand side: `selfᵀ * rhs`
@@ -264,13 +282,24 @@ impl Matrix {
     /// The subspace-iteration projections (`QᵀZ`, `PᵀD`) are exactly
     /// this shape; computing them here avoids materializing the
     /// transpose while accumulating each element over ascending `k` —
-    /// bitwise what `self.transpose().matmul(rhs)` produces on the
-    /// same backend. Dispatched and row-parallel over the `m` output
-    /// rows like [`Matrix::matmul`].
+    /// bitwise what `self.transpose().matmul(rhs)` produces.
+    /// Row-parallel over the `m` output rows like [`Matrix::matmul`].
     ///
     /// Returns an error if `self.rows != rhs.rows`.
     pub fn matmul_tn(&self, rhs: &Matrix) -> Result<Matrix> {
-        kernel::matmul_tn_with(kernel::active_backend(), self, rhs)
+        if self.rows != rhs.rows {
+            return Err(LinalgError::DimensionMismatch {
+                op: "matmul_tn",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let (m, n, kdim) = (self.cols, rhs.cols, self.rows);
+        let (a, b) = (
+            kernel::Operand::transposed(self),
+            kernel::Operand::normal(rhs),
+        );
+        Ok(kernel::product(&a, &b, m, n, kdim))
     }
 
     /// Squared residual norm of every row after subtracting `mean` and
@@ -287,11 +316,7 @@ impl Matrix {
     /// per-vector operation order, so values are **bitwise identical**
     /// to the exact route ([`Matrix::matvec_t`] → [`Matrix::matvec`] →
     /// subtract → norm per row) — strictly inside the 1e-12 contract the
-    /// `netanom-core` batch API documents. To keep that equivalence on
-    /// every host, the internal coefficient GEMM is pinned to
-    /// [`kernel::KernelBackend::Portable`] regardless of the dispatched
-    /// backend: the per-vector route is plain mul-then-add arithmetic,
-    /// and detection scores must not move when the refit path speeds up.
+    /// `netanom-core` batch API documents.
     ///
     /// Returns an error if `mean.len() != cols` or
     /// `basis.rows() != cols`.
@@ -337,16 +362,7 @@ impl Matrix {
                     if kernel::use_packed(take, m, r) {
                         let z_op =
                             kernel::Operand::N(kernel::View::new(&zbuf[..take * m], take, m));
-                        kernel::gemm_block(
-                            kernel::KernelBackend::Portable,
-                            &z_op,
-                            &basis_op,
-                            0,
-                            cblock,
-                            r,
-                            m,
-                            false,
-                        );
+                        kernel::gemm_block(&z_op, &basis_op, 0, cblock, r, m, false);
                     } else if r <= 8 {
                         // Below the packed crossover a const-width
                         // coefficient pass beats the reference GEMM's
@@ -445,11 +461,7 @@ impl Matrix {
     /// `z_j·P[j][k]` over ascending `j`; modeled entry `l` sums
     /// `c_k·P[l][k]` over ascending `k`), so results are bitwise
     /// identical to [`Matrix::matvec_t`] + [`Matrix::matvec`] per row,
-    /// at a fraction of the cost. Like the fused SPE kernel, both GEMMs
-    /// are pinned to [`kernel::KernelBackend::Portable`]: this is a
-    /// *scoring* kernel, and the per-vector equivalence (plain
-    /// mul-then-add arithmetic) must hold on every host regardless of
-    /// which backend the process dispatches for model fitting.
+    /// at a fraction of the cost.
     ///
     /// Returns an error if `basis.rows() != self.cols`.
     pub fn project_rows_split(&self, basis: &Matrix) -> Result<(Matrix, Matrix)> {
@@ -460,14 +472,13 @@ impl Matrix {
                 rhs: basis.shape(),
             });
         }
-        let coeffs = kernel::matmul_with(kernel::KernelBackend::Portable, self, basis)?;
+        let coeffs = self.matmul(basis)?;
         // `coeffs · Pᵀ` via the row-major N·N kernel on the materialized
         // transpose: the shared dimension r is typically tiny (< one
         // k-tile), and the N·N reference walks long contiguous rows
         // where the N·T per-element dot would grind through r-length
         // strides. Same ascending-k order either way.
-        let modeled =
-            kernel::matmul_with(kernel::KernelBackend::Portable, &coeffs, &basis.transpose())?;
+        let modeled = coeffs.matmul(&basis.transpose())?;
         let residual = self.sub(&modeled)?;
         Ok((modeled, residual))
     }
@@ -512,12 +523,7 @@ impl Matrix {
     /// mean-centered data matrix `Y`, `Y.gram() / (t − 1)` is the sample
     /// covariance.
     pub fn gram(&self) -> Matrix {
-        // Only the upper triangle is computed (micro-tiles strictly
-        // below the global diagonal are skipped inside the kernel), then
-        // mirrored — the per-entry operation sequence matches a serial
-        // (i, a, b) loop nest on the active backend, so the result is
-        // thread-count independent. Dispatched like [`Matrix::matmul`].
-        kernel::gram_with(kernel::active_backend(), self)
+        kernel::gram(self)
     }
 
     /// Elementwise sum `self + rhs`.

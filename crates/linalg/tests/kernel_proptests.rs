@@ -4,31 +4,21 @@
 //! The kernel layer's contract (see `netanom_linalg::kernel`) is that
 //! every product — packed or not, parallel or not — accumulates each
 //! output element in strictly ascending shared-dimension order into a
-//! single accumulator, with the per-step rounding fixed by the active
-//! backend: separate multiply and add on `Portable`, one fused
-//! rounding per term on the `Fma` and `Avx512` hardware tiers. That
-//! makes the dispatched products **bitwise** equal to the textbook
-//! `i j k` loops written out below with the matching per-step op,
-//! which is what these tests assert (strictly stronger than the
-//! `≤ 1e-12` relative tolerance the crate documents as the cross-tier
-//! floor). The naive reference below follows
-//! `kernel::active_backend()`, so this file pins whichever tier the
-//! host (or `NETANOM_KERNEL`) selects; the CI matrix runs it under
-//! every supported value, and `kernel_tier_proptests.rs` pins each
-//! supported tier explicitly. The fused SPE kernel is the exception: it is pinned to
-//! the portable tier by design (detection scores must not move across
-//! hosts), so its reference is always mul-then-add. Shapes cover both
-//! routing regimes: large operands that take the packed path —
-//! deliberately not multiples of the micro-tile — and
-//! ragged/degenerate ones (`1 × n`, `n × 1`, empty) that fall through
-//! to the reference kernels.
+//! single accumulator, rounding the multiply and the add separately.
+//! That makes every product **bitwise** equal to the textbook `i j k`
+//! loops written out below, which is what these tests assert. The
+//! batched scoring kernels (`project_rows_split`, the fused SPE) ride
+//! the same products, so their references are the same mul-then-add
+//! loops. Shapes cover both routing regimes: large operands that take
+//! the packed path — deliberately not multiples of the micro-tile —
+//! and ragged/degenerate ones (`1 × n`, `n × 1`, empty) that fall
+//! through to the reference kernels.
 //!
 //! The CI determinism job reruns this file under `RAYON_NUM_THREADS`
 //! 1 and 8; `packed_products_are_thread_count_invariant` additionally
 //! forces explicit 1- and 8-thread pools so the invariance holds even
 //! in a single CI environment.
 
-use netanom_linalg::kernel::active_backend;
 use netanom_linalg::Matrix;
 use proptest::prelude::*;
 
@@ -46,32 +36,9 @@ fn hashed(rows: usize, cols: usize, seed: usize) -> Matrix {
 }
 
 /// Textbook `i j k` product: single accumulator per element, ascending
-/// `k`, per-step rounding matching the active backend's contract
-/// (mul-then-add on `Portable`, `f64::mul_add` on the hardware
-/// tiers). Written independently of the crate's kernels on purpose.
+/// `k`, mul-then-add. Written independently of the crate's kernels on
+/// purpose.
 fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    let fused = active_backend().is_fused();
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        for j in 0..b.cols() {
-            let mut acc = 0.0_f64;
-            for k in 0..a.cols() {
-                if fused {
-                    acc = a[(i, k)].mul_add(b[(k, j)], acc);
-                } else {
-                    acc += a[(i, k)] * b[(k, j)];
-                }
-            }
-            out[(i, j)] = acc;
-        }
-    }
-    out
-}
-
-/// Always-portable naive product (mul-then-add whatever the backend):
-/// the reference for the scoring kernels (`project_rows_split`, the
-/// fused SPE), which are pinned to `KernelBackend::Portable` by design.
-fn naive_matmul_portable(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = Matrix::zeros(a.rows(), b.cols());
     for i in 0..a.rows() {
         for j in 0..b.cols() {
@@ -155,9 +122,7 @@ proptest! {
     }
 
     /// The batched projection splits rows exactly as the naive
-    /// `modeled = A·P·Pᵀ`, `residual = A − modeled` products do — with
-    /// *portable* rounding on every backend, since the projection is a
-    /// scoring kernel pinned to `KernelBackend::Portable`.
+    /// `modeled = A·P·Pᵀ`, `residual = A − modeled` products do.
     #[test]
     fn project_rows_split_matches_naive(
         rows in 20usize..70,
@@ -168,18 +133,15 @@ proptest! {
         let a = hashed(rows, cols, seed);
         let basis = hashed(cols, r, seed + 1_000_000);
         let (modeled, residual) = a.project_rows_split(&basis).unwrap();
-        let coeffs = naive_matmul_portable(&a, &basis);
-        let want_modeled = naive_matmul_portable(&coeffs, &basis.transpose());
+        let coeffs = naive_matmul(&a, &basis);
+        let want_modeled = naive_matmul(&coeffs, &basis.transpose());
         prop_assert_eq!(bits(&modeled), bits(&want_modeled));
         prop_assert_eq!(bits(&residual), bits(&a.sub(&want_modeled).unwrap()));
     }
 
     /// The fused SPE kernel is bitwise the exact per-vector route:
     /// center, project coefficients, reconstruct, subtract, norm — all
-    /// in naive ascending order with *portable* (mul-then-add)
-    /// rounding, whatever backend is dispatched: the SPE path is
-    /// pinned to `KernelBackend::Portable` so detection scores are
-    /// identical on every host.
+    /// in naive ascending order with mul-then-add rounding.
     #[test]
     fn centered_residual_norms_match_naive(
         rows in 8usize..80,

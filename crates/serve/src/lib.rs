@@ -44,6 +44,7 @@
 //! same rows — the daemon is the same engine behind a different door.
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod protocol;

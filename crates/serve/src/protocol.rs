@@ -43,6 +43,10 @@ pub enum ErrorCode {
     SessionExists,
     /// A measurement row or checkpoint had the wrong number of links.
     DimMismatch,
+    /// A measurement row carried a non-finite value (`NaN`, `inf`, or a
+    /// literal like `1e400` that overflows to infinity); the row is
+    /// rejected before it is queued.
+    BadRow,
     /// The command is not valid in the session's current phase, or the
     /// checkpoint disagrees with the opened configuration.
     StateMismatch,
@@ -60,6 +64,7 @@ impl ErrorCode {
             ErrorCode::NoSession => "no-session",
             ErrorCode::SessionExists => "session-exists",
             ErrorCode::DimMismatch => "dim-mismatch",
+            ErrorCode::BadRow => "bad-row",
             ErrorCode::StateMismatch => "state-mismatch",
             ErrorCode::Checkpoint => "checkpoint",
         }

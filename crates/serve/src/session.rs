@@ -314,7 +314,11 @@ impl Session {
 
     /// Enqueue one row. A full queue rejects the row and counts a drop
     /// — the caller answers `busy <sid> queued=<q> capacity=<c>`; a
-    /// wrong-width row is a [`ErrorCode::DimMismatch`] error.
+    /// wrong-width row is a [`ErrorCode::DimMismatch`] error, and a row
+    /// with a non-finite value is a [`ErrorCode::BadRow`] error. Neither
+    /// error touches the session: a queued non-finite row would fail
+    /// every later drain in the streaming phase, and the fit in the
+    /// training phase.
     ///
     /// Returns `Ok(true)` when the row was queued, `Ok(false)` on a
     /// full queue.
@@ -323,6 +327,12 @@ impl Session {
             return Err(ServeError::new(
                 ErrorCode::DimMismatch,
                 format!("expected {} links, got {}", self.config.dim, row.len()),
+            ));
+        }
+        if let Some(link) = row.iter().position(|v| !v.is_finite()) {
+            return Err(ServeError::new(
+                ErrorCode::BadRow,
+                format!("measurement for link {link} is {}", row[link]),
             ));
         }
         if self.queue.len() >= self.config.queue_capacity {
@@ -449,7 +459,10 @@ impl Session {
     /// [`ErrorCode::DimMismatch`]); everything else — strategy,
     /// cadence, window, counters — is adopted *from the checkpoint*,
     /// because those are what make the resumed stream bitwise identical
-    /// to the exporting process.
+    /// to the exporting process. A training, window or pending row of the
+    /// wrong width or with a non-finite value is an
+    /// [`ErrorCode::Checkpoint`] error. Every error leaves the session as
+    /// it was.
     pub fn restore(&mut self, cp: SessionCheckpoint) -> Result<(), ServeError> {
         if cp.dim != self.config.dim {
             return Err(ServeError::new(
@@ -485,6 +498,12 @@ impl Session {
                 .with_refit_every(every)
                 .map_err(|e| ServeError::new(ErrorCode::Checkpoint, e))?;
         }
+        // A checkpoint file comes from outside the program: hold its rows
+        // to what `push` admits, or a bad pending row would wedge the
+        // restored session and a bad training row would fail its fit.
+        check_rows("training", &cp.training_rows, cp.dim)?;
+        check_rows("window", &cp.window_rows, cp.dim)?;
+        check_rows("pending", &cp.pending, cp.dim)?;
         let phase = if !cp.streaming {
             if cp.training_rows.len() >= cp.train_bins {
                 return Err(ServeError::new(
@@ -523,12 +542,6 @@ impl Session {
                 })?;
             let mut window = RingWindow::new(cp.window_capacity, cp.dim);
             for row in &cp.window_rows {
-                if row.len() != cp.dim {
-                    return Err(ServeError::new(
-                        ErrorCode::Checkpoint,
-                        "checkpoint window row has the wrong width",
-                    ));
-                }
                 window.push(row);
             }
             let engine = StreamingEngine::resume(
@@ -554,6 +567,31 @@ impl Session {
         self.downgraded = None;
         Ok(())
     }
+}
+
+/// Reject a checkpoint whose `what` rows are not all `dim` wide and finite.
+fn check_rows(what: &str, rows: &[Vec<f64>], dim: usize) -> Result<(), ServeError> {
+    for (i, row) in rows.iter().enumerate() {
+        if row.len() != dim {
+            return Err(ServeError::new(
+                ErrorCode::Checkpoint,
+                format!(
+                    "checkpoint {what} row {i} has {} links, expected {dim}",
+                    row.len()
+                ),
+            ));
+        }
+        if let Some(link) = row.iter().position(|v| !v.is_finite()) {
+            return Err(ServeError::new(
+                ErrorCode::Checkpoint,
+                format!(
+                    "checkpoint {what} row {i}: measurement for link {link} is {}",
+                    row[link]
+                ),
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Fit the session's configured method on the accumulated training rows

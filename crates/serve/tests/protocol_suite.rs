@@ -1,7 +1,7 @@
 //! Protocol state-machine suite: out-of-order commands answer typed
 //! errors without killing the daemon, and the reply grammar is stable.
 
-use netanom_serve::Service;
+use netanom_serve::{ErrorCode, Service, Session, SessionCheckpoint, SessionConfig};
 
 /// Drive one line and return the response lines.
 fn ask(service: &mut Service, line: &str) -> Vec<String> {
@@ -197,34 +197,137 @@ fn cadence_less_statistics_strategies_downgrade_with_a_note() {
     assert_eq!(lines[1], "ok open s phase=training queue=4096");
 }
 
-#[test]
-fn non_finite_training_entry_fails_the_fit_by_position() {
-    // A NaN among the training rows must be reported as what it is —
-    // with its (row, col) in the training window — not as a Jacobi sweep
-    // that burned its budget and "did not converge".
+/// Feed the mini dataset's rows to one subspace session, splicing the
+/// bad row `bad` in front of row `at` when given. Asserts the bad row
+/// answers `err bad-row` and that every good row is accepted, then
+/// returns the alarm payloads.
+fn mini_alarms(bad: Option<(usize, &str)>) -> Vec<String> {
+    let ds = netanom_traffic::datasets::mini(1);
+    let m = ds.links.num_links();
+    let matrix = ds.links.matrix();
     let mut service = Service::new();
-    let r = reply(&mut service, "open s dim=4 train-bins=12");
+    let r = reply(
+        &mut service,
+        &format!("open s dim={m} train-bins=216 refit=incremental refit-every=24"),
+    );
     assert!(r.starts_with("ok open s "), "{r}");
-    let mut replies = Vec::new();
-    for t in 0..12 {
-        let row: Vec<String> = (0..4)
-            .map(|j| {
-                if (t, j) == (5, 2) {
-                    "NaN".to_string()
-                } else {
-                    format!("{}", ((t * 7 + j * 3) % 11) as f64 + j as f64)
-                }
-            })
-            .collect();
-        replies.extend(ask(&mut service, &format!("obs s {}", row.join(","))));
+    let mut alarms = Vec::new();
+    for i in 0..matrix.rows() {
+        if let Some((_, tok)) = bad.filter(|&(at, _)| at == i) {
+            let mut row: Vec<String> = matrix.row(i).iter().map(|v| format!("{v}")).collect();
+            row[3] = tok.to_string();
+            let r = reply(&mut service, &format!("obs s {}", row.join(",")));
+            assert!(r.starts_with("err bad-row "), "{tok}: {r}");
+            assert!(r.contains("link 3"), "{tok}: {r}");
+        }
+        let row: Vec<String> = matrix.row(i).iter().map(|v| format!("{v}")).collect();
+        let lines = ask(&mut service, &format!("obs s {}", row.join(",")));
+        let last = lines.last().unwrap();
+        assert!(last.starts_with("ok obs s queued=0 "), "row {i}: {last}");
+        alarms.extend(
+            lines
+                .iter()
+                .filter_map(|l| l.strip_prefix("alarm s "))
+                .map(String::from),
+        );
     }
-    let err = replies
-        .iter()
-        .find(|r| r.starts_with("err "))
-        .unwrap_or_else(|| panic!("the fit must fail: {replies:?}"));
-    assert!(err.starts_with("err bad-config "), "{err}");
-    assert!(err.contains("pca: non-finite entry NaN at (5, 2)"), "{err}");
-    assert!(!err.contains("converge"), "{err}");
-    let r = reply(&mut service, "ping");
-    assert_eq!(r, "ok pong");
+    let stat = ask(&mut service, "stats s");
+    assert!(
+        stat[0].contains(&format!("arrivals={} ", matrix.rows())),
+        "{}",
+        stat[0]
+    );
+    alarms
+}
+
+#[test]
+fn non_finite_rows_are_rejected_and_the_session_keeps_going() {
+    let clean = mini_alarms(None);
+    assert!(!clean.is_empty(), "the mini stream must alarm");
+    // Row 5 lands in the training phase, where a queued bad row used to
+    // fail the fit and discard the good rows gathered so far; row 250
+    // lands in the streaming phase, where it used to stay at the head
+    // of the queue and fail every later obs.
+    for at in [5, 250] {
+        for tok in ["nan", "NaN", "inf", "-inf", "1e400"] {
+            assert_eq!(mini_alarms(Some((at, tok))), clean, "{tok} at row {at}");
+        }
+    }
+}
+
+#[test]
+fn restore_rejects_non_finite_or_misshapen_checkpoint_rows() {
+    let dir = std::env::temp_dir().join("netanom-serve-restore-bad-rows");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let cp = dir.join("session.bin");
+    let cp_arg = cp.to_str().unwrap();
+
+    // Two training rows drained, one row still pending.
+    let mut service = Service::new();
+    reply(&mut service, "open a dim=3 train-bins=8 drain=manual");
+    for t in 0..2 {
+        reply(&mut service, &format!("obs a {}", row_csv(3, t as f64)));
+    }
+    assert_eq!(
+        reply(&mut service, "drain a"),
+        "ok drain a processed=2 queued=0"
+    );
+    reply(&mut service, &format!("obs a {}", row_csv(3, 2.0)));
+    let r = reply(&mut service, &format!("checkpoint a {cp_arg}"));
+    assert!(r.starts_with("ok checkpoint a bytes="), "{r}");
+    let good = SessionCheckpoint::from_bytes(&std::fs::read(&cp).unwrap()).unwrap();
+    assert_eq!((good.training_rows.len(), good.pending.len()), (2, 1));
+
+    reply(&mut service, "open b dim=3 train-bins=8 drain=manual");
+    let before = ask(&mut service, "stats b");
+    let mut nan_pending = good.clone();
+    nan_pending.pending[0][1] = f64::NAN;
+    let mut inf_training = good.clone();
+    inf_training.training_rows[1][2] = f64::INFINITY;
+    for (bad, msg) in [
+        (nan_pending, "pending row 0: measurement for link 1 is NaN"),
+        (
+            inf_training,
+            "training row 1: measurement for link 2 is inf",
+        ),
+    ] {
+        std::fs::write(&cp, bad.to_bytes()).unwrap();
+        let r = reply(&mut service, &format!("restore b {cp_arg}"));
+        assert!(r.starts_with("err checkpoint "), "{msg}: {r}");
+        assert!(r.contains(msg), "{msg}: {r}");
+        // The failed restore left session b as it was.
+        assert_eq!(ask(&mut service, "stats b"), before, "{msg}");
+    }
+
+    // The file layout fixes every row at `dim` values; a checkpoint built
+    // in memory can still carry a misshapen row.
+    let config = SessionConfig::from_params(&[("dim", "3"), ("train-bins", "8")]).unwrap();
+    let mut session = Session::open(config);
+    let mut short = good.clone();
+    short.pending[0].pop();
+    let e = session.restore(short).unwrap_err();
+    assert_eq!(e.code, ErrorCode::Checkpoint);
+    assert!(
+        e.message.contains("pending row 0 has 2 links, expected 3"),
+        "{e}"
+    );
+    let mut long = good.clone();
+    long.training_rows[0].push(0.0);
+    let e = session.restore(long).unwrap_err();
+    assert!(
+        e.message.contains("training row 0 has 4 links, expected 3"),
+        "{e}"
+    );
+    assert_eq!((session.arrivals(), session.queued()), (0, 0));
+
+    // The good checkpoint still restores, and its pending row drains.
+    std::fs::write(&cp, good.to_bytes()).unwrap();
+    let r = reply(&mut service, &format!("restore b {cp_arg}"));
+    assert!(r.starts_with("ok restore b "), "{r}");
+    assert_eq!(
+        reply(&mut service, "drain b"),
+        "ok drain b processed=1 queued=0"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

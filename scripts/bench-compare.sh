@@ -12,7 +12,7 @@
 # With no --baseline, every scripts/bench-baseline-*.jsonl is used.
 # With --filter, only bench ids matching the extended regex (on both
 # sides) are compared — e.g. --filter 'gemm/matmul_m1024' to gate one
-# shape, or --filter '_avx512$' for the AVX-512 legs only.
+# shape, or --filter '^scale/' for the refit-scale benches only.
 # A bench regresses when its fresh median exceeds the baseline median by
 # more than --threshold percent (default 25). Benchmarks present on only
 # one side are reported but never fail the check. Exit code 1 iff any
